@@ -248,12 +248,8 @@ fn main() {
             report.total_ms, report.sim_runs, report.jobs
         );
         eprintln!(
-            "# timing: host handoffs={} engine_parks={} proc_parks={} inline_payloads={} heap_fallbacks={}",
-            report.host.handoffs,
-            report.host.engine_parks,
-            report.host.proc_parks,
-            report.host.inline_payloads,
-            report.host.heap_fallbacks
+            "# timing: host handoffs={} engine_parks={} proc_parks={}",
+            report.host.handoffs, report.host.engine_parks, report.host.proc_parks
         );
         if opts.timing {
             let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");

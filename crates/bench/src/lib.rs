@@ -86,8 +86,9 @@ pub struct TimingReport {
     pub jobs: usize,
     /// Total wall-clock of the sweep, milliseconds.
     pub total_ms: u64,
-    /// Wall-clock of the same sweep on the pre-mailbox binary, if supplied
-    /// via `--baseline-ms`, so the measured speedup travels with the data.
+    /// Wall-clock of the same sweep on the binary before the change being
+    /// measured, if supplied via `--baseline-ms`, so the measured speedup
+    /// travels with the data.
     pub prechange_total_ms: Option<u64>,
     /// Per-experiment wall-clock in emission order, milliseconds.
     pub figures: Vec<(String, u64)>,
@@ -133,12 +134,7 @@ impl TimingReport {
         s.push_str(&format!("    \"sim_runs\": {},\n", self.sim_runs));
         s.push_str(&format!("    \"handoffs\": {},\n", h.handoffs));
         s.push_str(&format!("    \"engine_parks\": {},\n", h.engine_parks));
-        s.push_str(&format!("    \"proc_parks\": {},\n", h.proc_parks));
-        s.push_str(&format!(
-            "    \"inline_payloads\": {},\n",
-            h.inline_payloads
-        ));
-        s.push_str(&format!("    \"heap_fallbacks\": {}\n", h.heap_fallbacks));
+        s.push_str(&format!("    \"proc_parks\": {}\n", h.proc_parks));
         s.push_str("  }");
         if let Some(t) = &self.telemetry {
             s.push_str(",\n  \"telemetry\": ");

@@ -67,77 +67,79 @@ pub fn install_lock(engine: &mut Engine, spec: RunSpec, kind: LockKind, alloc: &
     }
 }
 
-fn workload_iteration(
+async fn workload_iteration(
     ctx: &mut Ctx,
     spec: &RunSpec,
     i: u64,
-    acquire: impl FnOnce(&mut Ctx),
-    release: impl FnOnce(&mut Ctx),
+    acquire: impl AsyncFnOnce(&mut Ctx),
+    release: impl AsyncFnOnce(&mut Ctx),
 ) {
     let (op, arg) = spec.opgen.op(i);
     let t0 = ctx.now();
-    acquire(ctx);
-    let _ = exec_cs(ctx, &spec.body, op, arg);
+    acquire(ctx).await;
+    let _ = exec_cs(ctx, &spec.body, op, arg).await;
     ctx.record(Metric::Served, 1);
-    release(ctx);
+    release(ctx).await;
     record_op(ctx, t0);
 }
 
-fn tas_loop(ctx: &mut Ctx, spec: RunSpec, lock: Addr) {
+async fn tas_loop(mut ctx: Ctx, spec: RunSpec, lock: Addr) {
     let mut rng = client_rng(spec.seed, ctx.core());
     let mut i = 0u64;
     loop {
         workload_iteration(
-            ctx,
+            &mut ctx,
             &spec,
             i,
-            |ctx| {
+            async |ctx: &mut Ctx| {
                 let mut backoff = 4u64;
                 loop {
-                    if ctx.swap(lock, 1) == 0 {
+                    if ctx.swap(lock, 1).await == 0 {
                         return;
                     }
                     // Test loop on the (cached) lock word plus backoff.
-                    while ctx.read(lock) != 0 {
-                        ctx.work(backoff);
+                    while ctx.read(lock).await != 0 {
+                        ctx.work(backoff).await;
                         backoff = (backoff * 2).min(256);
                     }
                 }
             },
-            |ctx| ctx.write(lock, 0),
-        );
-        local_work(ctx, &mut rng, spec.max_local_work, 1);
+            async |ctx: &mut Ctx| ctx.write(lock, 0).await,
+        )
+        .await;
+        local_work(&mut ctx, &mut rng, spec.max_local_work, 1).await;
         i += 1;
     }
 }
 
-fn ticket_loop(ctx: &mut Ctx, spec: RunSpec, next: Addr, serving: Addr) {
+async fn ticket_loop(mut ctx: Ctx, spec: RunSpec, next: Addr, serving: Addr) {
     let mut rng = client_rng(spec.seed, ctx.core());
     let mut i = 0u64;
     loop {
         workload_iteration(
-            ctx,
+            &mut ctx,
             &spec,
             i,
-            |ctx| {
-                let my = ctx.faa(next, 1);
+            async |ctx: &mut Ctx| {
+                let my = ctx.faa(next, 1).await;
                 let mut backoff = 2u64;
-                while ctx.read(serving) != my {
-                    ctx.work(backoff);
+                while ctx.read(serving).await != my {
+                    ctx.work(backoff).await;
                     backoff = (backoff * 2).min(64);
                 }
             },
-            |ctx| {
-                let s = ctx.read(serving);
-                ctx.write(serving, s + 1);
+            async |ctx: &mut Ctx| {
+                let s = ctx.read(serving).await;
+                ctx.write(serving, s + 1).await;
             },
-        );
-        local_work(ctx, &mut rng, spec.max_local_work, 1);
+        )
+        .await;
+        local_work(&mut ctx, &mut rng, spec.max_local_work, 1).await;
         i += 1;
     }
 }
 
-fn mcs_loop(ctx: &mut Ctx, spec: RunSpec, tail: Addr, nodes: Addr, me: u64) {
+async fn mcs_loop(mut ctx: Ctx, spec: RunSpec, tail: Addr, nodes: Addr, me: u64) {
     let node = |id: u64| nodes + id * WORDS_PER_LINE;
     const LOCKED: u64 = 0;
     const NEXT: u64 = 1;
@@ -145,45 +147,46 @@ fn mcs_loop(ctx: &mut Ctx, spec: RunSpec, tail: Addr, nodes: Addr, me: u64) {
     let mut i = 0u64;
     loop {
         workload_iteration(
-            ctx,
+            &mut ctx,
             &spec,
             i,
-            |ctx| {
-                ctx.write(node(me) + NEXT, 0);
-                ctx.write(node(me) + LOCKED, 1);
-                let pred = ctx.swap(tail, me + 1);
+            async |ctx: &mut Ctx| {
+                ctx.write(node(me) + NEXT, 0).await;
+                ctx.write(node(me) + LOCKED, 1).await;
+                let pred = ctx.swap(tail, me + 1).await;
                 if pred != 0 {
-                    ctx.write(node(pred - 1) + NEXT, me + 1);
+                    ctx.write(node(pred - 1) + NEXT, me + 1).await;
                     // Local spin on my own node line.
                     let mut backoff = 2u64;
-                    while ctx.read(node(me) + LOCKED) != 0 {
-                        ctx.work(backoff);
+                    while ctx.read(node(me) + LOCKED).await != 0 {
+                        ctx.work(backoff).await;
                         backoff = (backoff * 2).min(64);
                     }
                 }
             },
-            |ctx| {
-                let next = ctx.read(node(me) + NEXT);
+            async |ctx: &mut Ctx| {
+                let next = ctx.read(node(me) + NEXT).await;
                 if next == 0 {
-                    if ctx.cas(tail, me + 1, 0) {
+                    if ctx.cas(tail, me + 1, 0).await {
                         return;
                     }
                     // A successor is linking itself; wait for the link.
                     let mut backoff = 2u64;
                     loop {
-                        let n = ctx.read(node(me) + NEXT);
+                        let n = ctx.read(node(me) + NEXT).await;
                         if n != 0 {
-                            ctx.write(node(n - 1) + LOCKED, 0);
+                            ctx.write(node(n - 1) + LOCKED, 0).await;
                             return;
                         }
-                        ctx.work(backoff);
+                        ctx.work(backoff).await;
                         backoff = (backoff * 2).min(32);
                     }
                 }
-                ctx.write(node(next - 1) + LOCKED, 0);
+                ctx.write(node(next - 1) + LOCKED, 0).await;
             },
-        );
-        local_work(ctx, &mut rng, spec.max_local_work, 1);
+        )
+        .await;
+        local_work(&mut ctx, &mut rng, spec.max_local_work, 1).await;
         i += 1;
     }
 }

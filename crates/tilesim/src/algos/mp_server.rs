@@ -22,26 +22,26 @@ pub fn install_mp_server(engine: &mut Engine, spec: RunSpec) -> usize {
 }
 
 /// The server loop (also reused by the two-lock queue's second server).
-pub(crate) fn serve(ctx: &mut Ctx, body: CsBody) {
+pub(crate) async fn serve(mut ctx: Ctx, body: CsBody) {
     loop {
-        let [sender, op, arg] = ctx.receive3();
-        let ret = exec_cs(ctx, &body, op, arg);
-        ctx.send(sender as usize, &[ret]);
+        let [sender, op, arg] = ctx.receive3().await;
+        let ret = exec_cs(&mut ctx, &body, op, arg).await;
+        ctx.send(sender as usize, &[ret]).await;
         ctx.record(Metric::Served, 1);
     }
 }
 
-fn client(ctx: &mut Ctx, spec: RunSpec, server: usize) {
+async fn client(mut ctx: Ctx, spec: RunSpec, server: usize) {
     let mut rng = client_rng(spec.seed, ctx.core());
     let me = ctx.core() as u64;
     let mut i = 0u64;
     loop {
         let (op, arg) = spec.opgen.op(i);
         let t0 = ctx.now();
-        ctx.send(server, &[me, op, arg]);
-        ctx.receive1();
-        record_op(ctx, t0);
-        local_work(ctx, &mut rng, spec.max_local_work, 1);
+        ctx.send(server, &[me, op, arg]).await;
+        ctx.receive1().await;
+        record_op(&mut ctx, t0);
+        local_work(&mut ctx, &mut rng, spec.max_local_work, 1).await;
         i += 1;
     }
 }

@@ -1,138 +1,106 @@
 //! The discrete-event engine.
 //!
-//! Each simulated core runs one *proc*: an OS thread executing a plain Rust
-//! closure that issues requests through its [`Ctx`] handle and blocks until
-//! the engine answers. The engine processes exactly one proc at a time, in
-//! global simulated-time order (ties broken by core id), so the simulation
-//! is fully deterministic regardless of host scheduling — and, because
-//! effects apply in that single global order, the simulated memory is
-//! sequentially consistent, exactly the paper's §2 model.
+//! Each simulated core runs one *proc*: an `async` body that talks to the
+//! machine through its [`Ctx`] handle. Every `Ctx` operation leaves its
+//! request in the proc's engine-owned slot and yields once; the engine
+//! services the request, schedules the proc's resume as a `(cycle, core)`
+//! event, and polls the proc's future again when that event pops. The
+//! engine resumes exactly one proc at a time, in global simulated-time order
+//! (ties broken by core id), on the thread that called [`Engine::run`], so
+//! the simulation is fully deterministic — and, because effects apply in
+//! that single global order, the simulated memory is sequentially
+//! consistent, exactly the paper's §2 model.
 //!
-//! Proc↔engine handoffs go through a per-proc single-slot
-//! [`Mailbox`](crate::mailbox) — atomics with a spin-then-park wait and
-//! fixed-size inline word buffers — so the steady-state simulation loop is
-//! allocation-free and avoids the mutex/condvar round trips a channel pair
-//! would pay on every simulated operation. The handoff mechanism carries
-//! the *same* requests and responses in the same order as the previous
-//! `mpsc`-based design; simulated time, and therefore every figure, is
-//! unaffected. Host-side counters of the mechanism itself are reported in
-//! [`SimResult::host`].
+//! A handoff is therefore a function call: no proc owns a thread, and no
+//! waker is needed because the event heap alone decides which proc runs
+//! next (procs are polled with [`Waker::noop`]). Host-side counters of the
+//! engine itself are reported in [`SimResult::host`].
 //!
-//! When the simulation horizon is reached, blocked and running procs are
-//! torn down by answering a `Stopped` response, which `Ctx` converts into a
-//! panic payload caught by the proc wrapper — so workload closures are
-//! written as infinite loops without any stop-flag plumbing.
+//! When the simulation horizon is reached, or every remaining proc is
+//! blocked with no event left that could wake it, the engine stops polling
+//! and drops the remaining proc futures — so workload bodies are written as
+//! infinite loops without any stop-flag plumbing.
+//!
+//! `Ctx::now` and `Ctx::record` never yield. `now` reads the clock the
+//! engine stores at each resume; `record` adds straight into the proc's
+//! accumulators. Neither shortcut can reorder the simulation: a round trip
+//! for either would schedule a zero-latency event for the issuing proc, and
+//! such an event is always the very next one popped (the heap holds nothing
+//! smaller at that point), so no other proc could ever observe the
+//! difference.
 
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::future::{poll_fn, Future};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use crate::config::MachineConfig;
-use crate::mailbox::{Mailbox, INLINE_WORDS, ST_POISON};
 use crate::mem::{Addr, Memory};
 use crate::stats::{CoreStats, HostStats, Metric, SimResult, N_METRICS};
 
-// Request opcodes, written by `Ctx` and decoded by the engine. Payload
-// layout (inline words) is noted per opcode.
-const OP_READ: u32 = 0; //  [addr]
-const OP_WRITE: u32 = 1; // [addr, value]
-const OP_FAA: u32 = 2; //   [addr, delta]
-const OP_CAS: u32 = 3; //   [addr, expect, new]
-const OP_SWAP: u32 = 4; //  [addr, value]
-const OP_SEND: u32 = 5; //  [dest, msg...]; oversized: dest inline, msg on heap
-const OP_RECV: u32 = 6; //  [k]
-const OP_QEMPTY: u32 = 7; //  []
-const OP_QPEND: u32 = 8; //   []
-const OP_WORK: u32 = 9; //  [cycles]
-const OP_DONE: u32 = 10; // []; panic message in the mailbox side channel
+/// A request a proc leaves in its slot for the engine.
+#[derive(Clone, Copy)]
+enum Op {
+    Read(Addr),
+    Write(Addr, u64),
+    Faa(Addr, u64),
+    Cas(Addr, u64, u64),
+    Swap(Addr, u64),
+    /// Send the slot's `words` to the given core.
+    Send(usize),
+    /// Receive this many words into the slot's `words`.
+    Recv(usize),
+    QueueEmpty,
+    PendingTraffic,
+    Work(u64),
+}
 
-// `Ctx::now` and `Ctx::record` have no opcode: both are answered locally,
-// without a handoff. `now` reads the clock the engine piggybacks on every
-// response; `record` buffers deltas that ride the next request. Neither
-// shortcut can reorder the simulation — the old round trips scheduled a
-// zero-latency event for the issuing proc, and such an event is always the
-// very next one popped (the heap holds nothing smaller at that point), so
-// no other proc could ever observe the difference.
-
-// Response kinds.
-const RESP_VALUE: u32 = 0; //  [value]
-const RESP_VALUES: u32 = 1; // [word; k] (heap when k > INLINE_WORDS)
-const RESP_BOOL: u32 = 2; //   [0|1]
-const RESP_UNIT: u32 = 3; //   []
-/// Simulation horizon reached: the proc must unwind.
-const RESP_STOPPED: u32 = 4;
-
-/// Panic payload used to unwind a proc at the simulation horizon.
-struct StopSim;
-
-/// Silences the default panic hook for `StopSim` unwinds (they are the
-/// engine's normal teardown mechanism, not errors); every other panic goes
-/// to the previously installed hook.
-fn install_quiet_stop_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<StopSim>().is_none() {
-                prev(info);
-            }
-        }));
-    });
+/// The state a proc shares with the engine.
+#[derive(Default)]
+struct Slot {
+    /// The request the proc yielded on; the engine takes it.
+    op: Cell<Option<Op>>,
+    /// Scalar response: a loaded value, or a boolean as 0/1.
+    ret: Cell<u64>,
+    /// Message words: a send's payload on the way in, a receive's on the
+    /// way out.
+    words: RefCell<Vec<u64>>,
+    /// Simulated time at the proc's latest resume.
+    clock: Cell<u64>,
+    /// Accumulators written by [`Ctx::record`].
+    metrics: [Cell<u64>; N_METRICS],
 }
 
 /// Per-proc handle through which simulated code talks to the machine.
 ///
-/// All methods advance simulated time; see [`MachineConfig`] for costs.
+/// Every `async` method advances simulated time; see [`MachineConfig`] for
+/// costs.
 pub struct Ctx {
     core: usize,
-    mb: Arc<Mailbox>,
-    /// Metric deltas buffered by [`Ctx::record`], staged onto the next
-    /// request instead of paying their own handoffs.
-    metric_buf: [u64; N_METRICS],
-    dirty_mask: u32,
+    slot: Rc<Slot>,
 }
 
 impl Ctx {
-    /// Stages buffered `record` deltas to ride the next request.
-    fn flush_records(&mut self) {
-        if self.dirty_mask != 0 {
-            self.mb.stage_records(self.dirty_mask, &self.metric_buf);
-            for i in 0..N_METRICS {
-                if self.dirty_mask & (1 << i) != 0 {
-                    self.metric_buf[i] = 0;
-                }
+    /// Leaves `op` in the slot and yields to the engine; completes on the
+    /// next resume, by which time the response is in the slot.
+    fn request(&self, op: Op) -> impl Future<Output = ()> + '_ {
+        let mut op = Some(op);
+        poll_fn(move |_| match op.take() {
+            Some(op) => {
+                self.slot.op.set(Some(op));
+                Poll::Pending
             }
-            self.dirty_mask = 0;
-        }
+            None => Poll::Ready(()),
+        })
     }
 
-    /// Publishes a request, blocks for the response, and returns its kind.
-    /// Payload words stay in the mailbox for the caller to read.
-    fn transact(&mut self, op: u32, payload: &[u64]) -> u32 {
-        self.flush_records();
-        assert!(self.mb.send_request(op, payload), "engine vanished");
-        if self.mb.wait_response() == ST_POISON {
-            panic!("engine vanished");
-        }
-        let (kind, _) = self.resp_head();
-        if kind == RESP_STOPPED {
-            panic::panic_any(StopSim);
-        }
-        kind
-    }
-
-    /// Response kind and payload length (the mailbox `opcode`/`len` fields
-    /// hold the response while the proc owns the cell).
-    fn resp_head(&self) -> (u32, usize) {
-        self.mb.resp_fields()
-    }
-
-    fn value(&mut self, op: u32, payload: &[u64]) -> u64 {
-        let kind = self.transact(op, payload);
-        debug_assert_eq!(kind, RESP_VALUE);
-        self.mb.word(0)
+    async fn value(&mut self, op: Op) -> u64 {
+        self.request(op).await;
+        self.slot.ret.get()
     }
 
     /// The core this proc is pinned to.
@@ -141,88 +109,64 @@ impl Ctx {
     }
 
     /// Reads a shared-memory word.
-    pub fn read(&mut self, a: Addr) -> u64 {
-        self.value(OP_READ, &[a])
+    pub async fn read(&mut self, a: Addr) -> u64 {
+        self.value(Op::Read(a)).await
     }
 
     /// Writes a shared-memory word.
-    pub fn write(&mut self, a: Addr, v: u64) {
-        self.transact(OP_WRITE, &[a, v]);
+    pub async fn write(&mut self, a: Addr, v: u64) {
+        self.request(Op::Write(a, v)).await
     }
 
     /// Fetch-and-add; returns the previous value.
-    pub fn faa(&mut self, a: Addr, delta: u64) -> u64 {
-        self.value(OP_FAA, &[a, delta])
+    pub async fn faa(&mut self, a: Addr, delta: u64) -> u64 {
+        self.value(Op::Faa(a, delta)).await
     }
 
     /// Compare-and-set; returns whether the swap happened (the boolean
     /// variant, as in the paper's model).
-    pub fn cas(&mut self, a: Addr, old: u64, new: u64) -> bool {
-        self.value(OP_CAS, &[a, old, new]) != 0
+    pub async fn cas(&mut self, a: Addr, old: u64, new: u64) -> bool {
+        self.value(Op::Cas(a, old, new)).await != 0
     }
 
     /// Atomic exchange; returns the previous value.
-    pub fn swap(&mut self, a: Addr, v: u64) -> u64 {
-        self.value(OP_SWAP, &[a, v])
+    pub async fn swap(&mut self, a: Addr, v: u64) -> u64 {
+        self.value(Op::Swap(a, v)).await
     }
 
     /// Sends `words` as one message to `dest`'s hardware queue
     /// (asynchronous; blocks only on back-pressure).
-    pub fn send(&mut self, dest: usize, words: &[u64]) {
-        if words.len() < INLINE_WORDS {
-            let mut payload = [0u64; INLINE_WORDS];
-            payload[0] = dest as u64;
-            payload[1..=words.len()].copy_from_slice(words);
-            self.transact(OP_SEND, &payload[..words.len() + 1]);
-        } else {
-            // Oversized send: the message words ride on the heap; `dest`
-            // stays inline.
-            self.flush_records();
-            assert!(
-                self.mb
-                    .send_request_big(OP_SEND, dest as u64, words.to_vec()),
-                "engine vanished"
-            );
-            if self.mb.wait_response() == ST_POISON {
-                panic!("engine vanished");
-            }
-            let (kind, _) = self.resp_head();
-            if kind == RESP_STOPPED {
-                panic::panic_any(StopSim);
-            }
+    pub async fn send(&mut self, dest: usize, words: &[u64]) {
+        {
+            let mut buf = self.slot.words.borrow_mut();
+            buf.clear();
+            buf.extend_from_slice(words);
         }
+        self.request(Op::Send(dest)).await
     }
 
     /// Receives exactly `k` words from the local queue, blocking as needed.
-    pub fn receive(&mut self, k: usize) -> Vec<u64> {
-        let kind = self.transact(OP_RECV, &[k as u64]);
-        debug_assert_eq!(kind, RESP_VALUES);
-        if k <= INLINE_WORDS {
-            (0..k).map(|i| self.mb.word(i)).collect()
-        } else {
-            self.mb.take_overflow().expect("oversized response payload")
-        }
+    pub async fn receive(&mut self, k: usize) -> Vec<u64> {
+        self.request(Op::Recv(k)).await;
+        self.slot.words.borrow().clone()
     }
 
     /// Receives a single word (allocation-free).
-    pub fn receive1(&mut self) -> u64 {
-        let kind = self.transact(OP_RECV, &[1]);
-        debug_assert_eq!(kind, RESP_VALUES);
-        self.mb.word(0)
+    pub async fn receive1(&mut self) -> u64 {
+        self.request(Op::Recv(1)).await;
+        self.slot.words.borrow()[0]
     }
 
     /// Receives a three-word request `{sender, op, arg}` (allocation-free).
-    pub fn receive3(&mut self) -> [u64; 3] {
-        let kind = self.transact(OP_RECV, &[3]);
-        debug_assert_eq!(kind, RESP_VALUES);
-        [self.mb.word(0), self.mb.word(1), self.mb.word(2)]
+    pub async fn receive3(&mut self) -> [u64; 3] {
+        self.request(Op::Recv(3)).await;
+        let w = self.slot.words.borrow();
+        [w[0], w[1], w[2]]
     }
 
     /// `true` if the local hardware queue currently holds no arrived word.
-    pub fn is_queue_empty(&mut self) -> bool {
-        let kind = self.transact(OP_QEMPTY, &[]);
-        debug_assert_eq!(kind, RESP_BOOL);
-        self.mb.word(0) != 0
+    pub async fn is_queue_empty(&mut self) -> bool {
+        self.value(Op::QueueEmpty).await != 0
     }
 
     /// `true` if any word is queued for this core, *including words still
@@ -234,112 +178,46 @@ impl Ctx {
     /// combining rounds on that artifact. Use this for "should I keep
     /// serving?" checks and [`Ctx::is_queue_empty`] for faithful hardware
     /// probes.
-    pub fn has_pending_traffic(&mut self) -> bool {
-        let kind = self.transact(OP_QPEND, &[]);
-        debug_assert_eq!(kind, RESP_BOOL);
-        self.mb.word(0) != 0
+    pub async fn has_pending_traffic(&mut self) -> bool {
+        self.value(Op::PendingTraffic).await != 0
     }
 
     /// Burns `cycles` of local computation.
-    pub fn work(&mut self, cycles: u64) {
+    pub async fn work(&mut self, cycles: u64) {
         if cycles > 0 {
-            self.transact(OP_WORK, &[cycles]);
+            self.request(Op::Work(cycles)).await
         }
     }
 
-    /// Current simulated time in cycles (free).
-    pub fn now(&mut self) -> u64 {
-        // The engine piggybacks its clock on every response, and this
-        // proc's virtual time cannot advance between that response and its
-        // next request.
-        self.mb.resp_clock()
+    /// Current simulated time in cycles (free: this proc's virtual time
+    /// cannot advance between its resume and its next request).
+    pub fn now(&self) -> u64 {
+        self.slot.clock.get()
     }
 
     /// Adds `v` to this proc's `metric` accumulator (free).
     pub fn record(&mut self, metric: Metric, v: u64) {
-        self.metric_buf[metric as usize] += v;
-        self.dirty_mask |= 1 << (metric as usize);
+        let m = &self.slot.metrics[metric as usize];
+        m.set(m.get() + v);
     }
 }
 
-#[derive(Debug)]
-#[allow(dead_code)] // `dest` is carried for Debug diagnostics only
 enum ProcState {
-    /// Scheduled in the event heap; `pending` is delivered on resume.
+    /// Scheduled in the event heap; its response is already in the slot.
     Runnable,
     /// Blocked on `receive(k)` since the given cycle.
-    WaitRecv {
-        k: usize,
-        since: u64,
-    },
-    /// Blocked sending `words` to `dest` since the given cycle.
-    WaitSend {
-        dest: usize,
-        words: Vec<u64>,
-        since: u64,
-    },
+    WaitRecv { k: usize, since: u64 },
+    /// Blocked sending `words` since the given cycle.
+    WaitSend { words: Vec<u64>, since: u64 },
+    /// The body returned.
     Finished,
 }
 
-/// A response waiting to be delivered when its proc's event fires. Inline
-/// payload as in the mailbox; only oversized receives allocate.
-struct PendingResp {
-    kind: u32,
-    len: u32,
-    words: [u64; INLINE_WORDS],
-    overflow: Option<Vec<u64>>,
-}
-
-impl PendingResp {
-    fn unit() -> Self {
-        Self {
-            kind: RESP_UNIT,
-            len: 0,
-            words: [0; INLINE_WORDS],
-            overflow: None,
-        }
-    }
-
-    fn value(v: u64) -> Self {
-        let mut words = [0; INLINE_WORDS];
-        words[0] = v;
-        Self {
-            kind: RESP_VALUE,
-            len: 1,
-            words,
-            overflow: None,
-        }
-    }
-
-    fn boolean(b: bool) -> Self {
-        let mut words = [0; INLINE_WORDS];
-        words[0] = b as u64;
-        Self {
-            kind: RESP_BOOL,
-            len: 1,
-            words,
-            overflow: None,
-        }
-    }
-
-    fn stopped() -> Self {
-        Self {
-            kind: RESP_STOPPED,
-            len: 0,
-            words: [0; INLINE_WORDS],
-            overflow: None,
-        }
-    }
-}
-
-struct ProcSlot {
+struct Proc {
+    fut: Pin<Box<dyn Future<Output = ()>>>,
+    slot: Rc<Slot>,
     state: ProcState,
-    pending: Option<PendingResp>,
-    mb: Arc<Mailbox>,
-    join: Option<JoinHandle<()>>,
     stats: CoreStats,
-    metrics: [u64; N_METRICS],
-    panic_msg: Option<String>,
 }
 
 /// One core's hardware message queue: words with arrival times, plus the
@@ -353,18 +231,16 @@ struct SimQueue {
 pub struct Engine {
     cfg: MachineConfig,
     mem: Memory,
-    procs: Vec<ProcSlot>,
+    procs: Vec<Proc>,
     queues: Vec<SimQueue>,
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     clock: u64,
-    stopping: bool,
     host: HostStats,
 }
 
 impl Engine {
     /// Creates an engine for the given machine.
     pub fn new(cfg: MachineConfig) -> Self {
-        install_quiet_stop_hook();
         let queues = (0..cfg.cores())
             .map(|_| SimQueue {
                 words: VecDeque::new(),
@@ -378,7 +254,6 @@ impl Engine {
             queues,
             heap: BinaryHeap::new(),
             clock: 0,
-            stopping: false,
             host: HostStats::default(),
         }
     }
@@ -396,14 +271,16 @@ impl Engine {
 
     /// Adds a proc pinned to the next free core (procs are pinned in
     /// ascending order, like the paper's thread placement). Returns the
-    /// core index.
+    /// core index. `f` receives the proc's [`Ctx`] and returns its body,
+    /// which first runs when the run starts.
     ///
     /// # Panics
     ///
     /// Panics if all cores already have a proc.
-    pub fn add_proc<F>(&mut self, f: F) -> usize
+    pub fn add_proc<F, Fut>(&mut self, f: F) -> usize
     where
-        F: FnOnce(&mut Ctx) + Send + 'static,
+        F: FnOnce(Ctx) -> Fut,
+        Fut: Future<Output = ()> + 'static,
     {
         let core = self.procs.len();
         assert!(
@@ -411,67 +288,41 @@ impl Engine {
             "machine has {} cores",
             self.cfg.cores()
         );
-        let mb = Arc::new(Mailbox::new());
-        let proc_mb = Arc::clone(&mb);
-        let join = std::thread::Builder::new()
-            .name(format!("simproc-{core}"))
-            .spawn(move || {
-                proc_mb.register_proc();
-                let mut ctx = Ctx {
-                    core,
-                    mb: proc_mb,
-                    metric_buf: [0; N_METRICS],
-                    dirty_mask: 0,
-                };
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                if let Err(payload) = result {
-                    let msg = if payload.downcast_ref::<StopSim>().is_some() {
-                        None
-                    } else if let Some(s) = payload.downcast_ref::<&str>() {
-                        Some((*s).to_string())
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        Some(s.clone())
-                    } else {
-                        Some("proc panicked".to_string())
-                    };
-                    if let Some(msg) = msg {
-                        ctx.mb.set_panic_note(msg);
-                    }
-                }
-                // Records buffered after the last request (including by a
-                // closure that then panicked) still ride with `Done`.
-                ctx.flush_records();
-                // The engine may already be gone if it panicked itself; the
-                // poisoned mailbox refuses the publish and we just exit.
-                let _ = ctx.mb.send_request(OP_DONE, &[]);
-            })
-            .expect("failed to spawn sim proc");
-        self.procs.push(ProcSlot {
+        let slot = Rc::new(Slot::default());
+        let fut = Box::pin(f(Ctx {
+            core,
+            slot: Rc::clone(&slot),
+        }));
+        self.procs.push(Proc {
+            fut,
+            slot,
             state: ProcState::Runnable,
-            pending: None,
-            mb,
-            join: Some(join),
             stats: CoreStats::default(),
-            metrics: [0; N_METRICS],
-            panic_msg: None,
         });
         self.heap.push(Reverse((0, core)));
         core
     }
 
-    fn schedule(&mut self, proc: usize, at: u64, resp: PendingResp) {
-        self.procs[proc].pending = Some(resp);
+    fn schedule(&mut self, proc: usize, at: u64) {
         self.procs[proc].state = ProcState::Runnable;
         self.heap.push(Reverse((at, proc)));
     }
 
-    /// Charges a memory access to a core: `l1_hit` is useful work, the rest
-    /// is a coherence stall.
-    fn charge_mem(&mut self, proc: usize, latency: u64) {
+    /// Schedules `proc`'s resume with a scalar response.
+    fn reply(&mut self, proc: usize, at: u64, ret: u64) {
+        self.procs[proc].slot.ret.set(ret);
+        self.schedule(proc, at);
+    }
+
+    /// Charges a memory access to a core (`l1_hit` is useful work, the rest
+    /// is a coherence stall) and replies once it completes.
+    fn mem_done(&mut self, proc: usize, latency: u64, ret: u64) {
         let useful = self.cfg.l1_hit.min(latency);
-        self.procs[proc].stats.busy += useful;
-        self.procs[proc].stats.stall += latency - useful;
-        self.procs[proc].stats.mem_ops += 1;
+        let stats = &mut self.procs[proc].stats;
+        stats.busy += useful;
+        stats.stall += latency - useful;
+        stats.mem_ops += 1;
+        self.reply(proc, self.clock + latency, ret);
     }
 
     /// Queue occupancy check: can `n` more words fit?
@@ -494,104 +345,79 @@ impl Engine {
     /// If the proc on `core` is blocked in `receive(k)` and k words are now
     /// queued, completes the receive.
     fn try_wake_receiver(&mut self, core: usize) {
-        let (k, since) = match self.procs[core].state {
-            ProcState::WaitRecv { k, since } => (k, since),
-            _ => return,
-        };
-        if self.queues[core].words.len() < k {
+        let ProcState::WaitRecv { k, since } = self.procs[core].state else {
             return;
+        };
+        if self.queues[core].words.len() >= k {
+            self.complete_receive(core, k, since);
         }
-        self.complete_receive(core, k, since);
     }
 
-    /// Pops `k` words for `core`'s proc and schedules its resume.
+    /// Pops `k` words into `core`'s slot and schedules its resume.
     fn complete_receive(&mut self, core: usize, k: usize, issued: u64) {
-        let mut resp = PendingResp {
-            kind: RESP_VALUES,
-            len: k as u32,
-            words: [0; INLINE_WORDS],
-            overflow: None,
-        };
-        let mut big = if k > INLINE_WORDS {
-            self.host.heap_fallbacks += 1;
-            Some(Vec::with_capacity(k))
-        } else {
-            self.host.inline_payloads += 1;
-            None
-        };
         let mut last_arrival = issued;
-        for i in 0..k {
-            let (arr, v) = self.queues[core].words.pop_front().expect("checked len");
-            last_arrival = last_arrival.max(arr);
-            match &mut big {
-                Some(vec) => vec.push(v),
-                None => resp.words[i] = v,
+        {
+            let mut buf = self.procs[core].slot.words.borrow_mut();
+            buf.clear();
+            for (arr, v) in self.queues[core].words.drain(..k) {
+                last_arrival = last_arrival.max(arr);
+                buf.push(v);
             }
         }
-        resp.overflow = big;
         let service = self.cfg.recv_base + self.cfg.recv_word * k as u64;
         let resume = last_arrival + service;
-        let slot = &mut self.procs[core];
-        slot.stats.busy += service;
-        slot.stats.idle += last_arrival - issued;
-        slot.stats.msgs_recv += 1;
-        self.schedule(core, resume, resp);
+        let stats = &mut self.procs[core].stats;
+        stats.busy += service;
+        stats.idle += last_arrival - issued;
+        stats.msgs_recv += 1;
+        self.schedule(core, resume);
         // Space freed: let blocked senders through (in arrival order).
         self.drain_blocked_senders(core, resume);
     }
 
     fn drain_blocked_senders(&mut self, dest: usize, now: u64) {
         while let Some(&sender) = self.queues[dest].blocked_senders.front() {
-            let (words, since) = match &self.procs[sender].state {
-                ProcState::WaitSend { words, since, .. } => (words.clone(), *since),
-                _ => unreachable!("blocked sender not in WaitSend"),
+            let ProcState::WaitSend { words, since } = &self.procs[sender].state else {
+                unreachable!("blocked sender not in WaitSend");
             };
             if !self.queue_has_room(dest, words.len()) {
                 break;
             }
+            let since = *since;
+            let ProcState::WaitSend { words, .. } =
+                std::mem::replace(&mut self.procs[sender].state, ProcState::Runnable)
+            else {
+                unreachable!()
+            };
             self.queues[dest].blocked_senders.pop_front();
             self.procs[sender].stats.idle += now.saturating_sub(since);
             self.procs[sender].stats.blocked_sends += 1;
             self.deposit(sender, dest, &words, now);
-            let resume = now + self.cfg.send_inject;
+            self.procs[sender].slot.words.replace(words);
             self.procs[sender].stats.busy += self.cfg.send_inject;
-            self.schedule(sender, resume, PendingResp::unit());
+            self.schedule(sender, now + self.cfg.send_inject);
         }
     }
 
-    /// Services one decoded request. `words` holds the inline payload (the
-    /// first `len` words when `len <= INLINE_WORDS`); oversized send
-    /// payloads arrive in `overflow`.
-    fn service(
-        &mut self,
-        proc: usize,
-        op: u32,
-        len: usize,
-        words: &[u64; INLINE_WORDS],
-        overflow: Option<Vec<u64>>,
-    ) {
+    /// Services the request `proc` just yielded on.
+    fn service(&mut self, proc: usize, op: Op) {
         let now = self.clock;
         match op {
-            OP_READ => {
-                let (v, acc) = self.mem.read(proc, words[0], now);
-                self.charge_mem(proc, acc.latency);
-                self.schedule(proc, now + acc.latency, PendingResp::value(v));
+            Op::Read(a) => {
+                let (v, acc) = self.mem.read(proc, a, now);
+                self.mem_done(proc, acc.latency, v);
             }
-            OP_WRITE => {
-                let acc = self.mem.write(proc, words[0], words[1], now);
-                self.charge_mem(proc, acc.latency);
-                self.schedule(proc, now + acc.latency, PendingResp::unit());
+            Op::Write(a, v) => {
+                let acc = self.mem.write(proc, a, v, now);
+                self.mem_done(proc, acc.latency, 0);
             }
-            OP_FAA => {
-                let d = words[1];
-                let (old, acc) = self.mem.atomic(proc, words[0], now, |v| v.wrapping_add(d));
-                self.charge_mem(proc, acc.latency);
-                self.schedule(proc, now + acc.latency, PendingResp::value(old));
+            Op::Faa(a, d) => {
+                let (old, acc) = self.mem.atomic(proc, a, now, |v| v.wrapping_add(d));
+                self.mem_done(proc, acc.latency, old);
             }
-            OP_CAS => {
-                let (expect, new) = (words[1], words[2]);
+            Op::Cas(a, expect, new) => {
                 let mut ok = false;
-                let (_, acc) = self.mem.atomic(proc, words[0], now, |v| {
+                let (_, acc) = self.mem.atomic(proc, a, now, |v| {
                     if v == expect {
                         ok = true;
                         new
@@ -599,55 +425,30 @@ impl Engine {
                         v
                     }
                 });
-                self.charge_mem(proc, acc.latency);
-                self.schedule(proc, now + acc.latency, PendingResp::value(ok as u64));
+                self.mem_done(proc, acc.latency, ok as u64);
             }
-            OP_SWAP => {
-                let new = words[1];
-                let (old, acc) = self.mem.atomic(proc, words[0], now, |_| new);
-                self.charge_mem(proc, acc.latency);
-                self.schedule(proc, now + acc.latency, PendingResp::value(old));
+            Op::Swap(a, new) => {
+                let (old, acc) = self.mem.atomic(proc, a, now, |_| new);
+                self.mem_done(proc, acc.latency, old);
             }
-            OP_SEND => {
-                let dest = words[0] as usize;
-                // Inline payload: [dest, msg...]; oversized: msg on heap.
-                let msg: &[u64] = match &overflow {
-                    Some(big) => {
-                        self.host.heap_fallbacks += 1;
-                        big
-                    }
-                    None => {
-                        self.host.inline_payloads += 1;
-                        &words[1..len]
-                    }
-                };
+            Op::Send(dest) => {
+                let words = self.procs[proc].slot.words.take();
                 assert!(dest < self.queues.len(), "send to core {dest} out of range");
                 assert!(
-                    msg.len() <= self.cfg.queue_capacity,
+                    words.len() <= self.cfg.queue_capacity,
                     "message larger than a hardware queue"
                 );
-                if self.queue_has_room(dest, msg.len()) {
-                    // `msg` borrows the caller's stack copy / the local
-                    // overflow vec, never `self`, so it can cross these
-                    // `&mut self` calls.
-                    self.deposit(proc, dest, msg, now);
+                if self.queue_has_room(dest, words.len()) {
+                    self.deposit(proc, dest, &words, now);
+                    self.procs[proc].slot.words.replace(words);
                     self.procs[proc].stats.busy += self.cfg.send_inject;
-                    self.schedule(proc, now + self.cfg.send_inject, PendingResp::unit());
+                    self.schedule(proc, now + self.cfg.send_inject);
                 } else {
-                    let owned = match overflow {
-                        Some(big) => big,
-                        None => words[1..len].to_vec(),
-                    };
-                    self.procs[proc].state = ProcState::WaitSend {
-                        dest,
-                        words: owned,
-                        since: now,
-                    };
+                    self.procs[proc].state = ProcState::WaitSend { words, since: now };
                     self.queues[dest].blocked_senders.push_back(proc);
                 }
             }
-            OP_RECV => {
-                let k = words[0] as usize;
+            Op::Recv(k) => {
                 assert!(
                     k > 0 && k <= self.cfg.queue_capacity,
                     "bad receive size {k}"
@@ -658,224 +459,100 @@ impl Engine {
                     self.procs[proc].state = ProcState::WaitRecv { k, since: now };
                 }
             }
-            OP_QEMPTY => {
+            Op::QueueEmpty => {
                 let empty = self.queues[proc]
                     .words
                     .front()
-                    .map(|&(arr, _)| arr > now)
-                    .unwrap_or(true);
+                    .is_none_or(|&(arr, _)| arr > now);
                 self.procs[proc].stats.busy += self.cfg.queue_probe;
-                self.schedule(
-                    proc,
-                    now + self.cfg.queue_probe,
-                    PendingResp::boolean(empty),
-                );
+                self.reply(proc, now + self.cfg.queue_probe, empty as u64);
             }
-            OP_QPEND => {
+            Op::PendingTraffic => {
                 let pending = !self.queues[proc].words.is_empty();
                 self.procs[proc].stats.busy += self.cfg.queue_probe;
-                self.schedule(
-                    proc,
-                    now + self.cfg.queue_probe,
-                    PendingResp::boolean(pending),
-                );
+                self.reply(proc, now + self.cfg.queue_probe, pending as u64);
             }
-            OP_WORK => {
-                let cycles = words[0];
+            Op::Work(cycles) => {
                 self.procs[proc].stats.busy += cycles;
-                self.schedule(proc, now + cycles, PendingResp::unit());
+                self.schedule(proc, now + cycles);
             }
-            OP_DONE => {
-                self.procs[proc].panic_msg = self.procs[proc].mb.take_panic_note();
-                self.procs[proc].state = ProcState::Finished;
-            }
-            other => unreachable!("unknown opcode {other}"),
         }
     }
 
-    /// Blocks for `proc`'s next request and services it.
-    fn recv_and_service(&mut self, proc: usize) {
-        let (op, len) = self.procs[proc].mb.wait_request();
+    /// Polls `proc`'s body until its next request (which is serviced) or
+    /// its end.
+    fn resume(&mut self, proc: usize, cx: &mut Context<'_>) {
         self.host.handoffs += 1;
-        self.apply_staged_records(proc);
-        let mut words = [0u64; INLINE_WORDS];
-        let overflow = if len > INLINE_WORDS {
-            // Oversized send: only word 0 (the destination) is inline.
-            words[0] = self.procs[proc].mb.word(0);
-            Some(
-                self.procs[proc]
-                    .mb
-                    .take_overflow()
-                    .expect("oversized request payload"),
-            )
-        } else {
-            for (i, w) in words.iter_mut().enumerate().take(len) {
-                *w = self.procs[proc].mb.word(i);
+        let p = &mut self.procs[proc];
+        p.slot.clock.set(self.clock);
+        match panic::catch_unwind(AssertUnwindSafe(|| p.fut.as_mut().poll(cx))) {
+            Ok(Poll::Pending) => {
+                let op = p
+                    .slot
+                    .op
+                    .take()
+                    .unwrap_or_else(|| panic!("sim proc {proc} yielded without a Ctx request"));
+                self.service(proc, op);
             }
-            None
-        };
-        self.service(proc, op, len, &words, overflow);
-    }
-
-    /// Applies the metric deltas that rode in with a just-received request.
-    /// These were issued strictly before the request, so they count even if
-    /// the request itself ends up answered with `Stopped`.
-    fn apply_staged_records(&mut self, proc: usize) {
-        let slot = &mut self.procs[proc];
-        let metrics = &mut slot.metrics;
-        slot.mb
-            .drain_records(|i, d| metrics[Metric::from_index(i) as usize] += d);
-    }
-
-    /// Forces every blocked proc runnable with a `Stopped` response.
-    fn force_stop_blocked(&mut self) {
-        for i in 0..self.procs.len() {
-            match self.procs[i].state {
-                ProcState::WaitRecv { .. } | ProcState::WaitSend { .. } => {
-                    self.schedule(i, self.clock, PendingResp::stopped());
-                }
-                _ => {}
+            Ok(Poll::Ready(())) => p.state = ProcState::Finished,
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string panic payload");
+                panic!("sim proc {proc} panicked: {msg}");
             }
         }
-        for q in &mut self.queues {
-            q.blocked_senders.clear();
-        }
     }
 
-    /// Runs the simulation until every proc finished or `horizon` cycles
-    /// elapsed, and returns the collected statistics.
+    /// Runs the simulation until every proc finished, every remaining proc
+    /// is blocked for good (quiescence), or `horizon` cycles elapsed, and
+    /// returns the collected statistics. Procs still running at that point
+    /// are dropped without being polled again.
     ///
     /// # Panics
     ///
-    /// Panics if a proc panicked (test failures propagate), or on deadlock
-    /// (all procs blocked before the horizon).
+    /// Panics with a proc's message if that proc panicked (test failures
+    /// propagate).
     pub fn run(mut self, horizon: u64) -> SimResult {
-        for p in &self.procs {
-            p.mb.register_engine();
-        }
-        loop {
-            if self
-                .procs
-                .iter()
-                .all(|p| matches!(p.state, ProcState::Finished))
-            {
+        let mut cx = Context::from_waker(Waker::noop());
+        while let Some(Reverse((t, proc))) = self.heap.pop() {
+            self.clock = self.clock.max(t);
+            if self.clock >= horizon {
+                // Every proc still scheduled would resume at or past the
+                // horizon; the clock ends at the latest of those resumes.
+                self.clock = self.heap.iter().fold(self.clock, |c, e| c.max(e.0 .0));
                 break;
             }
-            let Some(Reverse((t, proc))) = self.heap.pop() else {
-                // No event pending. Either procs are mid-teardown (wait for
-                // their Done), or every remaining proc is blocked with no
-                // event that could ever wake it — quiescence; stop them.
-                if self.stopping {
-                    self.reap_done();
-                } else {
-                    self.stopping = true;
-                    self.force_stop_blocked();
-                }
-                continue;
-            };
-            if matches!(self.procs[proc].state, ProcState::Finished) {
-                continue;
-            }
-            self.clock = self.clock.max(t);
-            if self.clock >= horizon && !self.stopping {
-                self.stopping = true;
-                self.force_stop_blocked();
-            }
-            // Deliver the pending response, if any (at the very first
-            // activation there is none: the proc starts by *sending* its
-            // first request). Under teardown, whatever was pending is
-            // replaced by Stopped.
-            if let Some(pending) = self.procs[proc].pending.take() {
-                let resp = if self.stopping {
-                    PendingResp::stopped()
-                } else {
-                    pending
-                };
-                let mb = &self.procs[proc].mb;
-                mb.set_resp_clock(self.clock);
-                match resp.overflow {
-                    Some(big) => mb.send_response_big(resp.kind, big),
-                    None => mb.send_response(resp.kind, &resp.words[..resp.len as usize]),
-                }
-            }
-            self.recv_and_service(proc);
+            self.resume(proc, &mut cx);
         }
         self.finish(horizon)
     }
 
-    /// Collects `Done` notifications from procs that are unwinding after a
-    /// forced stop.
-    fn reap_done(&mut self) {
-        for i in 0..self.procs.len() {
-            if matches!(self.procs[i].state, ProcState::Finished) {
-                continue;
-            }
-            let (op, _) = self.procs[i].mb.wait_request();
-            self.host.handoffs += 1;
-            self.apply_staged_records(i);
-            if op == OP_DONE {
-                self.procs[i].panic_msg = self.procs[i].mb.take_panic_note();
-                self.procs[i].state = ProcState::Finished;
-            } else {
-                // The proc raced one more request in before seeing the
-                // stop; answer Stopped and let it unwind (the outer loop
-                // comes back for its Done).
-                let _ = self.procs[i].mb.take_overflow();
-                self.procs[i].mb.send_response(RESP_STOPPED, &[]);
-            }
-        }
-    }
-
-    fn finish(mut self, horizon: u64) -> SimResult {
-        for p in &mut self.procs {
-            if let Some(j) = p.join.take() {
-                let _ = j.join();
-            }
-        }
-        let mut panics: Vec<String> = Vec::new();
-        for (i, p) in self.procs.iter().enumerate() {
-            if let Some(msg) = &p.panic_msg {
-                panics.push(format!("proc {i}: {msg}"));
-            }
-        }
-        assert!(panics.is_empty(), "sim procs panicked: {panics:?}");
-
-        let per_core: Vec<CoreStats> = self
+    fn finish(self, horizon: u64) -> SimResult {
+        let per_core = self
             .procs
             .iter()
             .enumerate()
-            .map(|(i, p)| {
-                let mut s = p.stats;
-                s.rmrs = self.mem.rmrs(i);
-                s.atomics = self.mem.atomics(i);
-                s
+            .map(|(i, p)| CoreStats {
+                rmrs: self.mem.rmrs(i),
+                atomics: self.mem.atomics(i),
+                ..p.stats
             })
             .collect();
-        let metrics = self.procs.iter().map(|p| p.metrics).collect();
-        let mut host = self.host;
-        for p in &self.procs {
-            host.proc_parks += p.mb.proc_park_count();
-            host.engine_parks += p.mb.engine_park_count();
-        }
+        let metrics = self
+            .procs
+            .iter()
+            .map(|p| std::array::from_fn(|i| p.slot.metrics[i].get()))
+            .collect();
         SimResult {
             cfg: self.cfg,
             cycles: self.clock.min(horizon).max(1),
             end_clock: self.clock,
             per_core,
             metrics,
-            host,
-        }
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // Normal completion joins every proc before the engine drops, so
-        // this only matters when the engine unwinds mid-run (its own panic,
-        // or a propagated proc panic): procs parked in their mailboxes must
-        // be woken and told the engine is gone or they would wait forever.
-        for p in &self.procs {
-            p.mb.poison();
+            host: self.host,
         }
     }
 }
@@ -893,17 +570,26 @@ mod tests {
         }
     }
 
+    /// The message a panic payload carries.
+    fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
     #[test]
     fn single_proc_memory_ops() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| {
-            ctx.write(10, 5);
-            assert_eq!(ctx.read(10), 5);
-            assert_eq!(ctx.faa(10, 3), 5);
-            assert_eq!(ctx.read(10), 8);
-            assert!(ctx.cas(10, 8, 20));
-            assert!(!ctx.cas(10, 8, 30));
-            assert_eq!(ctx.swap(10, 1), 20);
+        e.add_proc(|mut ctx| async move {
+            ctx.write(10, 5).await;
+            assert_eq!(ctx.read(10).await, 5);
+            assert_eq!(ctx.faa(10, 3).await, 5);
+            assert_eq!(ctx.read(10).await, 8);
+            assert!(ctx.cas(10, 8, 20).await);
+            assert!(!ctx.cas(10, 8, 30).await);
+            assert_eq!(ctx.swap(10, 1).await, 20);
             ctx.record(Metric::Ops, 1);
         });
         let r = e.run(1_000_000);
@@ -914,15 +600,15 @@ mod tests {
     #[test]
     fn two_procs_message_roundtrip() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| {
+        e.add_proc(|mut ctx| async move {
             // Server on core 0.
-            let m = ctx.receive3();
+            let m = ctx.receive3().await;
             assert_eq!(m, [1, 42, 7]);
-            ctx.send(1, &[m[1] + m[2]]);
+            ctx.send(1, &[m[1] + m[2]]).await;
         });
-        e.add_proc(|ctx| {
-            ctx.send(0, &[1, 42, 7]);
-            assert_eq!(ctx.receive1(), 49);
+        e.add_proc(|mut ctx| async move {
+            ctx.send(0, &[1, 42, 7]).await;
+            assert_eq!(ctx.receive1().await, 49);
             ctx.record(Metric::Ops, 1);
         });
         let r = e.run(100_000);
@@ -934,13 +620,15 @@ mod tests {
     #[test]
     fn horizon_stops_infinite_loops() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| loop {
-            ctx.work(10);
-            ctx.record(Metric::Ops, 1);
+        e.add_proc(|mut ctx| async move {
+            loop {
+                ctx.work(10).await;
+                ctx.record(Metric::Ops, 1);
+            }
         });
         // A receiver that never gets a message: must be torn down too.
-        e.add_proc(|ctx| {
-            ctx.receive1();
+        e.add_proc(|mut ctx| async move {
+            ctx.receive1().await;
             unreachable!("no one sends to core 1");
         });
         let r = e.run(5_000);
@@ -950,16 +638,75 @@ mod tests {
     }
 
     #[test]
+    fn horizon_drops_every_proc_future_and_runs_no_code_past_it() {
+        struct Guard(Rc<Cell<usize>>);
+        impl Drop for Guard {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        const HORIZON: u64 = 5_000;
+        let dropped = Rc::new(Cell::new(0));
+        let latest = Rc::new(Cell::new(0u64));
+        let mut e = Engine::new(small_cfg());
+        // Two spinners with different step sizes, and a blocked receiver.
+        for step in [7, 13] {
+            let (guard, latest) = (Guard(Rc::clone(&dropped)), Rc::clone(&latest));
+            e.add_proc(move |mut ctx| async move {
+                let _guard = guard;
+                loop {
+                    ctx.work(step).await;
+                    latest.set(latest.get().max(ctx.now()));
+                }
+            });
+        }
+        let guard = Guard(Rc::clone(&dropped));
+        e.add_proc(move |mut ctx| async move {
+            let _guard = guard;
+            ctx.receive1().await;
+            unreachable!("no one sends to core 2");
+        });
+        let r = e.run(HORIZON);
+        assert_eq!(dropped.get(), 3, "every proc future is dropped");
+        assert!(latest.get() < HORIZON, "proc ran at cycle {}", latest.get());
+        assert!(latest.get() >= HORIZON - 13);
+        assert_eq!(r.cycles, HORIZON);
+        // The clock ends at the later of the two spinners' next resumes.
+        assert!(r.end_clock >= HORIZON && r.end_clock < HORIZON + 13);
+    }
+
+    #[test]
+    fn early_return_finishes_only_that_proc() {
+        let mut e = Engine::new(small_cfg());
+        e.add_proc(|mut ctx| async move {
+            ctx.work(100).await;
+            ctx.record(Metric::Ops, 1);
+        });
+        e.add_proc(|mut ctx| async move {
+            loop {
+                ctx.work(10).await;
+                ctx.record(Metric::Ops, 1);
+            }
+        });
+        let r = e.run(10_000);
+        assert_eq!(r.metrics[0][Metric::Ops as usize], 1);
+        assert_eq!(r.per_core[0].busy, 100);
+        let ops = r.metrics[1][Metric::Ops as usize];
+        assert!((990..=1_000).contains(&ops), "ops {ops}");
+        assert_eq!(r.cycles, 10_000);
+    }
+
+    #[test]
     fn deterministic_same_seed_same_result() {
         fn run_once() -> (u64, u64) {
             let mut e = Engine::new(small_cfg());
             for p in 0..4 {
-                e.add_proc(move |ctx| {
+                e.add_proc(move |mut ctx| async move {
                     use rand::{rngs::StdRng, Rng, SeedableRng};
                     let mut rng = StdRng::seed_from_u64(33 + p as u64);
                     loop {
-                        ctx.work(rng.gen_range(0..50));
-                        ctx.faa(7, 1);
+                        ctx.work(rng.gen_range(0..50)).await;
+                        ctx.faa(7, 1).await;
                         ctx.record(Metric::Ops, 1);
                     }
                 });
@@ -979,16 +726,16 @@ mod tests {
             ..small_cfg()
         };
         let mut e = Engine::new(cfg);
-        e.add_proc(|ctx| {
+        e.add_proc(|mut ctx| async move {
             // Receiver: wait long, then drain.
-            ctx.work(10_000);
+            ctx.work(10_000).await;
             for _ in 0..10 {
-                ctx.receive1();
+                ctx.receive1().await;
             }
         });
-        e.add_proc(|ctx| {
+        e.add_proc(|mut ctx| async move {
             for i in 0..10 {
-                ctx.send(0, &[i]); // must block after the queue fills
+                ctx.send(0, &[i]).await; // must block after the queue fills
             }
             ctx.record(Metric::Ops, 1);
         });
@@ -1001,96 +748,95 @@ mod tests {
     #[test]
     fn quiescent_blocked_proc_is_torn_down() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| {
-            ctx.receive1(); // nobody ever sends
-            unreachable!("must be stopped, not satisfied");
-        });
-        e.add_proc(|ctx| {
-            ctx.work(100);
+        for _ in 0..2 {
+            e.add_proc(|mut ctx| async move {
+                ctx.receive1().await; // nobody ever sends
+                unreachable!("must be stopped, not satisfied");
+            });
+        }
+        e.add_proc(|mut ctx| async move {
+            ctx.work(100).await;
             ctx.record(Metric::Ops, 1);
         });
         // Even with an effectively infinite horizon the run terminates once
-        // no event can ever wake the blocked receiver.
+        // no event can ever wake the blocked receivers.
         let r = e.run(u64::MAX / 2);
-        assert_eq!(r.metrics[1][Metric::Ops as usize], 1);
+        assert_eq!(r.metrics[2][Metric::Ops as usize], 1);
+        assert_eq!(r.end_clock, 100);
     }
 
     #[test]
     fn proc_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
             let mut e = Engine::new(small_cfg());
-            e.add_proc(|ctx| {
-                ctx.work(5);
+            e.add_proc(|mut ctx| async move {
+                loop {
+                    ctx.work(5).await;
+                }
+            });
+            e.add_proc(|mut ctx| async move {
+                ctx.work(5).await;
                 panic!("boom from sim proc");
             });
             e.run(1_000);
         });
-        assert!(result.is_err());
+        let msg = panic_text(&*result.expect_err("run must panic"));
+        assert!(msg.contains("boom from sim proc"), "{msg}");
+        assert!(msg.contains("proc 1"), "{msg}");
     }
 
     #[test]
     fn is_queue_empty_sees_arrivals_only() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| {
+        e.add_proc(|mut ctx| async move {
             // Wait until the message must have arrived.
-            ctx.work(1_000);
-            assert!(!ctx.is_queue_empty());
-            assert_eq!(ctx.receive1(), 9);
-            assert!(ctx.is_queue_empty());
+            ctx.work(1_000).await;
+            assert!(!ctx.is_queue_empty().await);
+            assert_eq!(ctx.receive1().await, 9);
+            assert!(ctx.is_queue_empty().await);
         });
-        e.add_proc(|ctx| {
-            ctx.send(0, &[9]);
+        e.add_proc(|mut ctx| async move {
+            ctx.send(0, &[9]).await;
         });
         e.run(100_000);
     }
 
     #[test]
-    fn host_stats_count_handoffs_and_inline_payloads() {
+    fn host_stats_count_one_handoff_per_resume() {
         let mut e = Engine::new(small_cfg());
-        e.add_proc(|ctx| {
-            let m = ctx.receive3();
-            ctx.send(1, &[m[0] + m[1] + m[2]]);
+        e.add_proc(|mut ctx| async move {
+            let m = ctx.receive3().await;
+            ctx.send(1, &[m[0] + m[1] + m[2]]).await;
         });
-        e.add_proc(|ctx| {
-            ctx.send(0, &[1, 2, 3]);
-            assert_eq!(ctx.receive1(), 6);
+        e.add_proc(|mut ctx| async move {
+            ctx.send(0, &[1, 2, 3]).await;
+            assert_eq!(ctx.receive1().await, 6);
         });
         let r = e.run(100_000);
-        // 2 sends + 2 receives + 2 Done, at least.
-        assert!(r.host.handoffs >= 6, "handoffs {}", r.host.handoffs);
-        // Both sends and both receive-responses fit inline.
-        assert_eq!(r.host.heap_fallbacks, 0);
-        assert!(
-            r.host.inline_payloads >= 4,
-            "inline {}",
-            r.host.inline_payloads
-        );
+        // Proc 0: start → receive3; resume → send; resume → return.
+        // Proc 1: start → send; resume → receive1; resume → return.
+        assert_eq!(r.host.handoffs, 6);
+        assert_eq!((r.host.engine_parks, r.host.proc_parks), (0, 0));
     }
 
     #[test]
-    fn oversized_receive_falls_back_to_heap() {
+    fn multi_word_messages_roundtrip() {
         let cfg = MachineConfig {
             queue_capacity: 64,
             ..small_cfg()
         };
         let mut e = Engine::new(cfg);
-        e.add_proc(|ctx| {
-            let words = ctx.receive(10);
+        e.add_proc(|mut ctx| async move {
+            let words = ctx.receive(10).await;
             assert_eq!(words, (0..10u64).collect::<Vec<_>>());
             ctx.record(Metric::Ops, 1);
         });
-        e.add_proc(|ctx| {
+        e.add_proc(|mut ctx| async move {
             let msg: Vec<u64> = (0..10).collect();
-            ctx.send(0, &msg);
+            ctx.send(0, &msg).await;
         });
         let r = e.run(100_000);
         assert_eq!(r.metrics[0][Metric::Ops as usize], 1);
-        // The 10-word send and the 10-word response both exceed the inline
-        // buffer.
-        assert!(
-            r.host.heap_fallbacks >= 2,
-            "fallbacks {}",
-            r.host.heap_fallbacks
-        );
+        assert_eq!(r.per_core[0].msgs_recv, 1);
     }
 }

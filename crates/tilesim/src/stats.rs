@@ -131,24 +131,20 @@ impl Metric {
 /// itself behaved on the machine running it, as opposed to the simulated
 /// machine's counters in [`CoreStats`].
 ///
-/// `handoffs`, `inline_payloads`, and `heap_fallbacks` are deterministic
-/// functions of the simulated trace; `engine_parks` and `proc_parks` depend
-/// on host scheduling and vary run to run. None of these may feed figure
-/// values — they exist for the harness's `--timing` self-measurement.
+/// `handoffs` is a deterministic function of the simulated trace. None of
+/// these may feed figure values — they exist for the harness's `--timing`
+/// self-measurement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostStats {
-    /// Proc→engine request/response round trips served through the mailbox.
+    /// Proc resumes: each one polls a proc's body from one request (or its
+    /// start) to the next request (or its end).
     pub handoffs: u64,
-    /// Times the engine thread parked waiting for a proc's next request.
+    /// Times the engine blocked waiting for a proc. Always 0: procs run on
+    /// the engine's own thread.
     pub engine_parks: u64,
-    /// Times a proc thread parked waiting for the engine's response.
+    /// Times a proc blocked waiting for the engine. Always 0: procs run on
+    /// the engine's own thread.
     pub proc_parks: u64,
-    /// Request/response payloads carried in the mailbox's inline word
-    /// buffer — each one an allocation the previous channel-based handoff
-    /// design would have made.
-    pub inline_payloads: u64,
-    /// Oversized payloads that fell back to a heap allocation.
-    pub heap_fallbacks: u64,
 }
 
 impl HostStats {
@@ -157,8 +153,6 @@ impl HostStats {
         self.handoffs += other.handoffs;
         self.engine_parks += other.engine_parks;
         self.proc_parks += other.proc_parks;
-        self.inline_payloads += other.inline_payloads;
-        self.heap_fallbacks += other.heap_fallbacks;
     }
 }
 

@@ -3,6 +3,7 @@
 //! exactly-once application across graceful shutdown — each across every
 //! executor backend.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mpsync::lincheck::specs::CounterSpec;
@@ -375,10 +376,12 @@ fn external_drive_cross_shard_waiters_make_progress() {
             .with_external_drive(true),
     ));
     let barrier = Arc::new(std::sync::Barrier::new(2));
+    let submitting = Arc::new(AtomicUsize::new(2));
     let mut threads = Vec::new();
     for shard in 0..2usize {
         let svc = svc.clone();
         let barrier = barrier.clone();
+        let submitting = submitting.clone();
         threads.push(std::thread::spawn(move || {
             let mut driver = svc.take_driver(shard).expect("driver");
             let mut s = svc.raw_session().expect("session");
@@ -393,7 +396,15 @@ fn external_drive_cross_shard_waiters_make_progress() {
                 .expect("submit");
             }
             drop(s);
-            // Quiesce: serve anything still queued before releasing the core.
+            // The peer's cross-shard submits still need this shard served:
+            // keep ticking until both threads have finished submitting,
+            // then serve anything still queued before releasing the core.
+            submitting.fetch_sub(1, Ordering::AcqRel);
+            while submitting.load(Ordering::Acquire) > 0 {
+                if driver.tick() == 0 {
+                    std::thread::yield_now();
+                }
+            }
             while driver.tick() > 0 {}
         }));
     }
